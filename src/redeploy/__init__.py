@@ -14,22 +14,21 @@ from .egalitarian import Decomposition, argmax_average_marginal, \
     average_marginal_maximizers, decompose
 from .errors import CapExceededError, InfeasibleTransferError, \
     SolverDefectError, UnknownIdError, ValidationError
-from .game import DEFAULT_SUBSET_CAP, FlowGame, blocking_coalition, \
-    check_supermodular, is_achievable
+from .game import FlowGame, blocking_coalition, check_supermodular, \
+    is_achievable
 from .generate import random_instance, random_instance_doc, random_suite
 from .instance import STAY, DeficitSchool, DeficitVector, Instance, \
     SurplusSchool, Teacher, Transfer, instance_to_doc, is_feasible, \
     parse_instance, post_transfer_deficits, serialize_instance, \
     transfer_from_doc, transfer_to_doc, validate
-from .maxflow import BMaxFlowCache, b_max_flow, max_flow, \
-    max_flow_with_lower_bounds
+from .maxflow import b_max_flow, max_flow, max_flow_with_lower_bounds
 from .mechanism import AuditReport, Violation, audit_strategy_proofness, \
     dominant_transfers, select_transfer, tie_break_key, truthful_profile, \
     unstable_select_transfer
 from .network import Edge, Flow, FlowNetwork, Node, SinkSpec, \
-    build_base_network, build_extended_network, \
+    build_base_network, build_extended_network, build_network, \
     build_specialization_network, cancel_circulations, flow_to_transfer, \
-    pin_sink_inflows, to_dot, transfer_to_flow
+    to_dot
 from .oracle import brute_force_lorenz_dominant, brute_force_v, \
     descending_prefix_sums, enumerate_transfers, lorenz_dominates
 from .rounding import RoundedSolution, SolveResult, \

@@ -23,8 +23,7 @@ from .instance import STAY, Transfer, parse_instance, \
     post_transfer_deficits, validate
 from .mechanism import audit_strategy_proofness, select_transfer, \
     unstable_select_transfer
-from .network import build_base_network, build_extended_network, \
-    build_specialization_network, to_dot
+from .network import VARIANTS, build_network, to_dot
 from .oracle import brute_force_lorenz_dominant, lorenz_dominates
 from .rounding import SolveResult, solve
 from .typed import parse_typed
@@ -61,10 +60,7 @@ def solution_doc(instance_doc: dict, path: str,
                  result: SolveResult) -> dict:
     deficits = result.deficits
     target = result.decomposition.target
-    reduction = sum(
-        int(b) - int(v)
-        for b, v in zip((instance_doc_betas(instance_doc, deficits.ids)),
-                        deficits.values))
+    inbound = result.transfer.inbound_counts()
     return {
         "format": "solution/1",
         "variant": result.variant,
@@ -79,21 +75,21 @@ def solution_doc(instance_doc: dict, path: str,
         "deficits": {k: int(v) for k, v in deficits.as_mapping().items()},
         "transfer": result.transfer.to_mapping(),
         "moved_teachers": result.moved,
-        "deficit_reduction": reduction,
+        "deficit_reduction": sum(inbound.get(i, 0) for i in deficits.ids),
         "timings": {k: round(v, 6) for k, v in result.timings.items()},
     }
 
 
-def instance_doc_betas(instance_doc: dict, ids) -> list[int]:
-    if "deficit_schools" in instance_doc:
-        betas = {d["id"]: d["beta"]
-                 for d in instance_doc["deficit_schools"]}
-        return [betas[i] for i in ids]
-    betas = {}
-    for school in instance_doc["schools"]:
-        for subject, beta in (school.get("deficit") or {}).items():
-            betas[f"{school['id']}:{subject}"] = beta
-    return [betas[i] for i in ids]
+def _load_solution(path: str, fields) -> dict:
+    """Read a solution document that has every one of the given fields."""
+    doc = json.loads(_read(path))
+    if not isinstance(doc, dict):
+        raise ValidationError(["solution document must be an object"])
+    missing = [f"solution is missing field {field!r}"
+               for field in fields if field not in doc]
+    if missing:
+        raise ValidationError(missing)
+    return doc
 
 
 def cmd_solve(args) -> int:
@@ -106,11 +102,20 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    doc = None
+    if args.solution:
+        doc = _load_solution(args.solution, ("transfer", "deficits"))
+        # A solution without the field is a base one; the oracle below
+        # enumerates base transfers only.
+        variant = doc.get("variant", "base")
+        if variant != "base":
+            raise ValidationError([
+                f"verify checks base solutions only, not the {variant!r} "
+                f"variant"])
     instance = parse_instance(_read(args.instance))
     expected_multiset, _ = brute_force_lorenz_dominant(instance)
 
-    if args.solution:
-        doc = json.loads(_read(args.solution))
+    if doc is not None:
         transfer = Transfer.from_mapping(doc["transfer"])
         claimed = {k: int(v) for k, v in doc["deficits"].items()}
         try:
@@ -124,7 +129,7 @@ def cmd_verify(args) -> int:
     else:
         deficits = solve(instance).deficits
 
-    game = FlowGame(build_base_network(instance))
+    game = FlowGame(build_network(instance, "base"))
     witness = blocking_coalition(deficits, game)
     if witness is not None:
         print(f"FAIL: vector is not achievable, blocked by coalition "
@@ -166,13 +171,22 @@ def cmd_gen(args) -> int:
 
 
 def cmd_report(args) -> int:
-    doc = json.loads(_read(args.solution))
+    doc = _load_solution(args.solution, (
+        "variant", "moved_teachers", "deficit_reduction", "blocks",
+        "fractional", "deficits", "transfer"))
     ids = doc.get("school_order") or sorted(doc["deficits"])
-    betas = instance_doc_betas(doc["instance"], ids)
+    schools = set(ids).union(*doc["blocks"])
+    for field in ("deficits", "fractional"):
+        absent = sorted(schools - set(doc[field]))
+        if absent:
+            raise ValidationError([f"solution field {field!r} lacks "
+                                   f"schools {absent}"])
     moved_in = {}
     for teacher, dest in doc["transfer"].items():
         if dest != STAY:
             moved_in[dest] = moved_in.get(dest, 0) + 1
+    betas = [doc["deficits"][school] + moved_in.get(school, 0)
+             for school in ids]
 
     lines = []
     lines.append(f"variant: {doc['variant']}")
@@ -203,13 +217,7 @@ def cmd_report(args) -> int:
 
 def cmd_dot(args) -> int:
     instance = _load_instance(args.instance, args.variant)
-    if args.variant == "specialization":
-        network = build_specialization_network(instance)
-    elif args.variant == "extended":
-        network = build_extended_network(instance)
-    else:
-        network = build_base_network(instance)
-    _write(args.output, to_dot(network))
+    _write(args.output, to_dot(build_network(instance, args.variant)))
     return EXIT_OK
 
 
@@ -222,8 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="compute the dominant transfer")
     p.add_argument("instance")
-    p.add_argument("--variant", choices=("base", "extended",
-                                         "specialization"), default="base")
+    p.add_argument("--variant", choices=VARIANTS, default="base")
     p.add_argument("-o", "--output", default="-")
     p.set_defaults(func=cmd_solve)
 
@@ -265,8 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dot", help="emit the network in GraphViz format")
     p.add_argument("instance")
-    p.add_argument("--variant", choices=("base", "extended",
-                                         "specialization"), default="base")
+    p.add_argument("--variant", choices=VARIANTS, default="base")
     p.add_argument("-o", "--output", default="-")
     p.set_defaults(func=cmd_dot)
     return parser
@@ -277,7 +283,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValidationError, UnknownIdError, InfeasibleTransferError,
-            json.JSONDecodeError, KeyError) as exc:
+            json.JSONDecodeError) as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except CapExceededError as exc:

@@ -41,12 +41,6 @@ class Decomposition:
             previous = worth
         return tuple(values)
 
-    def block_of(self, school_id: str) -> int:
-        for j, block in enumerate(self.blocks):
-            if school_id in block:
-                return j
-        raise KeyError(school_id)
-
 
 def average_marginal_maximizers(game, base: frozenset[str]):
     """Best average marginal worth over the remaining schools and every
@@ -105,30 +99,18 @@ def argmax_average_marginal(game, base: frozenset[str]) -> frozenset[str]:
     return union
 
 
-def _smallest_maximizer(game, base):
-    _, maximizers = average_marginal_maximizers(game, base)
-    return min(maximizers, key=lambda s: (len(s), sorted(s)))
-
-
-def decompose(game, tie_break: str = "largest") -> Decomposition:
+def decompose(game) -> Decomposition:
     """Run the greedy split until every school is placed in a block.
 
-    tie_break picks among co-maximal coalitions: "largest" (the default,
-    and the one the rest of the pipeline uses) or "smallest", kept as an
-    independent cross-check that the produced value multiset is tie-break
-    invariant.
+    Among co-maximal coalitions each block is their union, the
+    inclusion-wise largest one.
     """
-    if tie_break not in ("largest", "smallest"):
-        raise ValueError(f"unknown tie_break {tie_break!r}")
-    pick = argmax_average_marginal if tie_break == "largest" \
-        else _smallest_maximizer
-
     placed: frozenset[str] = frozenset()
     blocks: list[frozenset[str]] = []
     worths: list[int] = []
     values: list[Fraction] = []
     while len(placed) < len(game.universe):
-        block = pick(game, placed)
+        block = argmax_average_marginal(game, placed)
         placed = placed | block
         cumulative = game.worth(placed)
         previous = worths[-1] if worths else 0

@@ -12,38 +12,45 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import CapExceededError, SolverDefectError
+from .errors import CapExceededError, SolverDefectError, UnknownIdError
 from .instance import DeficitVector
-from .maxflow import BMaxFlowCache
+from .maxflow import b_max_flow
 from .network import FlowNetwork
 
 #: Largest player count for which exhaustive subset work is allowed.
-DEFAULT_SUBSET_CAP = 24
+SUBSET_CAP = 24
 
 
 class FlowGame:
-    """Characteristic function w over the sinks of a network, memoized."""
+    """Characteristic function w over the sinks of a network, memoized by
+    coalition bitmask.
 
-    def __init__(self, network: FlowNetwork, *,
-                 subset_cap: int = DEFAULT_SUBSET_CAP):
+    The memo dict is only ever inserted into, so concurrent readers are safe
+    under the interpreter lock.
+    """
+
+    def __init__(self, network: FlowNetwork):
         self.network = network
         self.universe: tuple[str, ...] = network.sink_nodes
-        if len(self.universe) > subset_cap:
+        if len(self.universe) > SUBSET_CAP:
             raise CapExceededError(
-                f"{len(self.universe)} deficit schools exceed the exhaustive "
-                f"subset cap {subset_cap}; use the solve pipeline on a "
-                f"smaller instance or raise the cap",
-                limit=subset_cap, actual=len(self.universe))
-        self.deficits = dict(network.sink_capacities)
-        self._betas = tuple(self.deficits[node] for node in self.universe)
-        self._cache = BMaxFlowCache(network)
+                f"{len(self.universe)} deficit schools exceed the subset "
+                f"cap {SUBSET_CAP}: scanning coalitions is exponential in "
+                f"the deficit-school count",
+                limit=SUBSET_CAP, actual=len(self.universe))
+        capacities = network.sink_capacities
+        self._betas = tuple(capacities[node] for node in self.universe)
+        self._bit = {node: 1 << k for k, node in enumerate(self.universe)}
         self._worth: dict[int, int] = {0: 0}
 
-    def __len__(self) -> int:
-        return len(self.universe)
-
     def mask_of(self, subset: Iterable[str]) -> int:
-        return self._cache.mask_of(subset)
+        mask = 0
+        for node in subset:
+            try:
+                mask |= self._bit[node]
+            except KeyError:
+                raise UnknownIdError(f"not a sink node: {node!r}")
+        return mask
 
     def subset_of(self, mask: int) -> frozenset[str]:
         return frozenset(node for k, node in enumerate(self.universe)
@@ -60,23 +67,19 @@ class FlowGame:
         return total
 
     def v_for_mask(self, mask: int) -> int:
-        return self._cache.value_for_mask(mask)
+        """Maximum flow into the sinks of the coalition."""
+        return self.beta_for_mask(mask) - self.worth_for_mask(mask)
 
     def worth_for_mask(self, mask: int) -> int:
         cached = self._worth.get(mask)
         if cached is None:
-            cached = self.beta_for_mask(mask) - self.v_for_mask(mask)
+            cached = self.beta_for_mask(mask) \
+                - b_max_flow(self.network, self.subset_of(mask))
             if cached < 0:
                 raise SolverDefectError("negative coalition worth",
                                         mask=mask, worth=cached)
             self._worth[mask] = cached
         return cached
-
-    def beta(self, subset: Iterable[str]) -> int:
-        return self.beta_for_mask(self.mask_of(subset))
-
-    def v(self, subset: Iterable[str]) -> int:
-        return self.v_for_mask(self.mask_of(subset))
 
     def worth(self, subset: Iterable[str]) -> int:
         return self.worth_for_mask(self.mask_of(subset))

@@ -95,11 +95,6 @@ class Instance:
         return tuple(sorted((a for a in teacher.acceptable if a in idx),
                             key=idx.__getitem__))
 
-    @cached_property
-    def has_surplus_acceptables(self) -> bool:
-        surplus = set(self.surplus_index)
-        return any(t.acceptable & surplus for t in self.teachers)
-
     def initial_deficits(self) -> "DeficitVector":
         return DeficitVector(self.deficit_ids,
                              tuple(d.beta for d in self.deficit_schools))
@@ -196,27 +191,9 @@ class DeficitVector:
         return all(isinstance(v, int) or v.denominator == 1
                    for v in self.values)
 
-    @property
-    def numeric_kind(self) -> str:
-        return "integer" if self.is_integral else "rational"
-
-    def to_ints(self) -> "DeficitVector":
-        if not self.is_integral:
-            raise ValueError("vector has fractional components")
-        return DeficitVector(self.ids, tuple(int(v) for v in self.values))
-
-    def sorted_descending(self) -> tuple:
-        return tuple(sorted(self.values, reverse=True))
-
     def sorted_multiset(self) -> tuple:
         """Descending value tuple; the canonical shape compared by tests."""
-        return self.sorted_descending()
-
-
-def _require(condition, errors, message):
-    if not condition:
-        errors.append(message)
-    return condition
+        return tuple(sorted(self.values, reverse=True))
 
 
 def _check_id(raw, errors, what):

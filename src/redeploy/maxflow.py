@@ -83,16 +83,6 @@ def infinite_capacity(network: FlowNetwork) -> int:
             + 1)
 
 
-def _effective_sinks(network, override):
-    if override is None:
-        return [(s.node, s.lower, s.capacity) for s in network.sinks]
-    out = []
-    for s in network.sinks:
-        cap = override.get(s.node, s.capacity)
-        out.append((s.node, min(s.lower, cap), cap))
-    return out
-
-
 def max_flow(network: FlowNetwork, *,
              sink_capacity_override: Mapping[str, int] | None = None
              ) -> tuple[int, Flow]:
@@ -105,9 +95,10 @@ def max_flow(network: FlowNetwork, *,
     graph = _Residual(sink + 1)
     edge_ids = [graph.add_edge(index[e.tail], index[e.head], e.upper)
                 for e in network.edges]
-    sink_ids = []
-    for node, _, cap in _effective_sinks(network, sink_capacity_override):
-        sink_ids.append(graph.add_edge(index[node], sink, cap))
+    override = sink_capacity_override or {}
+    sink_ids = [graph.add_edge(index[s.node], sink,
+                               override.get(s.node, s.capacity))
+                for s in network.sinks]
 
     value = graph.max_flow(index[network.source], sink)
     values = {(e.tail, e.head): graph.flow_on(i)
@@ -117,19 +108,16 @@ def max_flow(network: FlowNetwork, *,
     return value, Flow(values, inflows, value)
 
 
-def max_flow_with_lower_bounds(
-        network: FlowNetwork, *,
-        sink_capacity_override: Mapping[str, int] | None = None
-        ) -> tuple[int, Flow] | None:
+def max_flow_with_lower_bounds(network: FlowNetwork
+                               ) -> tuple[int, Flow] | None:
     """Maximum integral flow respecting per-edge lower bounds.
 
     Returns None when no flow satisfies all the bounds; that is an expected
     outcome for callers, not an error.
     """
-    if not network.has_lower_bounds() and sink_capacity_override is None:
+    if not network.has_lower_bounds():
         return max_flow(network)
 
-    sinks = _effective_sinks(network, sink_capacity_override)
     index = dict(network.node_index)
     sink = len(index)
     super_source = sink + 1
@@ -144,12 +132,13 @@ def max_flow_with_lower_bounds(
         excess[index[e.head]] += e.lower
         excess[index[e.tail]] -= e.lower
     sink_ids = []
-    for node, low, cap in sinks:
-        if low > cap:
+    for s in network.sinks:
+        if s.lower > s.capacity:
             return None
-        sink_ids.append(graph.add_edge(index[node], sink, cap - low))
-        excess[sink] += low
-        excess[index[node]] -= low
+        sink_ids.append(graph.add_edge(index[s.node], sink,
+                                       s.capacity - s.lower))
+        excess[sink] += s.lower
+        excess[index[s.node]] -= s.lower
 
     return_arc = graph.add_edge(sink, index[network.source],
                                 infinite_capacity(network))
@@ -172,8 +161,8 @@ def max_flow_with_lower_bounds(
 
     values = {(e.tail, e.head): e.lower + graph.flow_on(i)
               for e, i in zip(network.edges, edge_ids)}
-    inflows = {node: low + graph.flow_on(i)
-               for (node, low, _), i in zip(sinks, sink_ids)}
+    inflows = {s.node: s.lower + graph.flow_on(i)
+               for s, i in zip(network.sinks, sink_ids)}
     return value, Flow(values, inflows, value)
 
 
@@ -184,44 +173,6 @@ def b_max_flow(network: FlowNetwork, subset: Iterable[str]) -> int:
     unknown = chosen - known
     if unknown:
         raise UnknownIdError(f"not sink nodes: {sorted(unknown)}")
-    override = {node: 0 for node in known - chosen}
-    if not override:
-        value, _ = max_flow(network)
-        return value
-    value, _ = max_flow(network, sink_capacity_override=override)
+    value, _ = max_flow(network, sink_capacity_override={
+        node: 0 for node in known - chosen})
     return value
-
-
-class BMaxFlowCache:
-    """Memoized subset inflow values v(B), keyed by bitmask of B.
-
-    The memo dict is only ever inserted into, so concurrent readers are safe
-    under the interpreter lock.
-    """
-
-    def __init__(self, network: FlowNetwork):
-        self.network = network
-        self.universe = network.sink_nodes
-        self._bit = {node: 1 << k for k, node in enumerate(self.universe)}
-        self._memo: dict[int, int] = {0: 0}
-
-    def mask_of(self, subset: Iterable[str]) -> int:
-        mask = 0
-        for node in subset:
-            try:
-                mask |= self._bit[node]
-            except KeyError:
-                raise UnknownIdError(f"not a sink node: {node!r}")
-        return mask
-
-    def value_for_mask(self, mask: int) -> int:
-        cached = self._memo.get(mask)
-        if cached is None:
-            subset = [node for node in self.universe
-                      if mask & self._bit[node]]
-            cached = b_max_flow(self.network, subset)
-            self._memo[mask] = cached
-        return cached
-
-    def value(self, subset: Iterable[str]) -> int:
-        return self.value_for_mask(self.mask_of(subset))

@@ -18,10 +18,11 @@ from typing import Callable, Mapping
 
 from .errors import CapExceededError
 from .instance import STAY, Instance, Transfer
-from .oracle import DEFAULT_ENUMERATION_CAP, dominant_outcomes
+from .oracle import dominant_outcomes
 
-DEFAULT_TEACHER_CAP = 7
-DEFAULT_DEFICIT_CAP = 5
+#: Largest instance the exhaustive mechanism and its auditor accept.
+TEACHER_CAP = 7
+DEFICIT_CAP = 5
 
 Profile = Mapping[str, frozenset]
 
@@ -41,31 +42,28 @@ def tie_break_key(instance: Instance, transfer: Transfer) -> tuple[int, ...]:
                  for _, dest in transfer.assignment)
 
 
-def _check_caps(instance, teacher_cap, deficit_cap):
-    if len(instance.teachers) > teacher_cap:
+def _check_caps(instance):
+    if len(instance.teachers) > TEACHER_CAP:
         raise CapExceededError(
             f"{len(instance.teachers)} teachers exceed the mechanism cap "
-            f"{teacher_cap}; use solve() for large instances",
-            limit=teacher_cap, actual=len(instance.teachers))
-    if len(instance.deficit_schools) > deficit_cap:
+            f"{TEACHER_CAP}; use solve() for large instances",
+            limit=TEACHER_CAP, actual=len(instance.teachers))
+    if len(instance.deficit_schools) > DEFICIT_CAP:
         raise CapExceededError(
             f"{len(instance.deficit_schools)} deficit schools exceed the "
-            f"mechanism cap {deficit_cap}; use solve() for large instances",
-            limit=deficit_cap, actual=len(instance.deficit_schools))
+            f"mechanism cap {DEFICIT_CAP}; use solve() for large instances",
+            limit=DEFICIT_CAP, actual=len(instance.deficit_schools))
 
 
 def dominant_transfers(instance: Instance,
-                       profile: Profile | None = None, *,
-                       teacher_cap: int = DEFAULT_TEACHER_CAP,
-                       deficit_cap: int = DEFAULT_DEFICIT_CAP,
-                       cap: int = DEFAULT_ENUMERATION_CAP) -> list[Transfer]:
+                       profile: Profile | None = None) -> list[Transfer]:
     """Every feasible transfer achieving the dominant deficit vector,
     ascending in the tie-breaking order.  An empty report excludes the
     teacher, so she stays in every outcome."""
-    _check_caps(instance, teacher_cap, deficit_cap)
+    _check_caps(instance)
     if profile is None:
         profile = truthful_profile(instance)
-    _, winners = dominant_outcomes(instance, acceptable=profile, cap=cap)
+    _, winners = dominant_outcomes(instance, acceptable=profile)
     ids = instance.deficit_ids
     stay = len(ids)
     teachers = sorted(instance.teacher_ids)
@@ -76,21 +74,15 @@ def dominant_transfers(instance: Instance,
 
 
 def select_transfer(instance: Instance,
-                    profile: Profile | None = None, *,
-                    teacher_cap: int = DEFAULT_TEACHER_CAP,
-                    deficit_cap: int = DEFAULT_DEFICIT_CAP,
-                    cap: int = DEFAULT_ENUMERATION_CAP) -> Transfer:
+                    profile: Profile | None = None) -> Transfer:
     """The canonical mechanism: tie-break maximum among dominant transfers."""
-    candidates = dominant_transfers(instance, profile,
-                                    teacher_cap=teacher_cap,
-                                    deficit_cap=deficit_cap, cap=cap)
+    candidates = dominant_transfers(instance, profile)
     return max(candidates, key=lambda t: tie_break_key(instance, t))
 
 
 def unstable_select_transfer(instance: Instance,
                              profile: Profile | None = None, *,
-                             seed: int = 0,
-                             **kwargs) -> Transfer:
+                             seed: int = 0) -> Transfer:
     """Negative control for the auditor: a random pick among the dominant
     transfers, re-seeded from the reported profile.
 
@@ -100,7 +92,7 @@ def unstable_select_transfer(instance: Instance,
     """
     if profile is None:
         profile = truthful_profile(instance)
-    candidates = dominant_transfers(instance, profile, **kwargs)
+    candidates = dominant_transfers(instance, profile)
     fingerprint = json.dumps({t: sorted(v) for t, v in profile.items()},
                              sort_keys=True)
     rng = random.Random(f"{seed}|{fingerprint}")
@@ -149,10 +141,8 @@ def audit_strategy_proofness(
         instance: Instance, *,
         misreports: str | int = "all",
         seed: int = 0,
-        selector: Callable[..., Transfer] = select_transfer,
-        teacher_cap: int = DEFAULT_TEACHER_CAP,
-        deficit_cap: int = DEFAULT_DEFICIT_CAP,
-        cap: int = DEFAULT_ENUMERATION_CAP) -> AuditReport:
+        selector: Callable[..., Transfer] = select_transfer
+        ) -> AuditReport:
     """Try to manipulate the mechanism on behalf of every stay-at-home
     teacher.
 
@@ -161,11 +151,10 @@ def audit_strategy_proofness(
     are none.  misreports is "all" for the full power set of deficit
     schools, or an integer sample size drawn without replacement.
     """
-    _check_caps(instance, teacher_cap, deficit_cap)
+    _check_caps(instance)
     schools = instance.deficit_ids
     truth = truthful_profile(instance)
-    kwargs = dict(teacher_cap=teacher_cap, deficit_cap=deficit_cap, cap=cap)
-    baseline = selector(instance, truth, **kwargs)
+    baseline = selector(instance, truth)
 
     total = 1 << len(schools)
     if misreports == "all":
@@ -188,8 +177,7 @@ def audit_strategy_proofness(
             if report == truth[teacher.id]:
                 continue
             tested[teacher.id] += 1
-            outcome = selector(instance, {**truth, teacher.id: report},
-                               **kwargs)
+            outcome = selector(instance, {**truth, teacher.id: report})
             destination = outcome.destination(teacher.id)
             if destination != STAY and destination in teacher.acceptable:
                 violations.append(Violation(teacher.id, report, destination))

@@ -10,15 +10,17 @@ deals with node capacities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, NamedTuple
 
-from .errors import InfeasibleTransferError, SolverDefectError
+from .errors import SolverDefectError
 from .instance import STAY, Instance, Transfer
 from .typed import TypedInstance, position
 
 SOURCE = "@src"
+
+VARIANTS = ("base", "extended", "specialization")
 
 
 class Node(NamedTuple):
@@ -210,12 +212,18 @@ def build_specialization_network(instance: TypedInstance) -> FlowNetwork:
                        teachers=tuple(t.id for t in instance.teachers))
 
 
-def pin_sink_inflows(network: FlowNetwork,
-                     inflows: Mapping[str, int]) -> FlowNetwork:
-    """Force the inflow of every sink to an exact value (lower = upper)."""
-    sinks = tuple(SinkSpec(s.node, inflows[s.node], inflows[s.node])
-                  for s in network.sinks)
-    return replace(network, sinks=sinks)
+def build_network(instance, variant: str) -> FlowNetwork:
+    """The network of the named variant; specialization needs a
+    TypedInstance, the other two an Instance."""
+    if variant == "specialization":
+        if not isinstance(instance, TypedInstance):
+            raise TypeError("specialization variant needs a TypedInstance")
+        return build_specialization_network(instance)
+    if variant == "extended":
+        return build_extended_network(instance)
+    if variant == "base":
+        return build_base_network(instance)
+    raise ValueError(f"unknown variant {variant!r}")
 
 
 def cancel_circulations(network: FlowNetwork, flow: Flow) -> Flow:
@@ -292,46 +300,6 @@ def flow_to_transfer(network: FlowNetwork, flow: Flow) -> Transfer:
                                     teacher=teacher_id, heads=used)
         assignment[teacher_id] = used[0] if used else STAY
     return Transfer.from_mapping(assignment)
-
-
-def transfer_to_flow(network: FlowNetwork, transfer: Transfer) -> Flow:
-    """Inverse of flow_to_transfer for a feasible transfer."""
-    values = {(e.tail, e.head): 0 for e in network.edges}
-    kinds = network.kinds
-    moved_in: dict[str, int] = {}
-    moved_out: dict[str, int] = {}
-    for teacher_id in network.teachers:
-        dest = transfer.destination(teacher_id)
-        if dest == STAY:
-            continue
-        in_edges = network.in_edges.get(teacher_id, ())
-        if len(in_edges) != 1:
-            raise InfeasibleTransferError(
-                f"teacher {teacher_id!r} is not in the network")
-        supply = in_edges[0].tail
-        if (teacher_id, dest) not in values:
-            raise InfeasibleTransferError(
-                f"no edge for move {teacher_id!r} -> {dest!r}")
-        values[(supply, teacher_id)] = 1
-        values[(teacher_id, dest)] = 1
-        moved_out[supply] = moved_out.get(supply, 0) + 1
-        if kinds[dest] == "school":
-            moved_in[dest] = moved_in.get(dest, 0) + 1
-
-    for e in network.out_edges[network.source]:
-        need = moved_out.get(e.head, 0) - moved_in.get(e.head, 0)
-        if need < 0:
-            raise InfeasibleTransferError(
-                f"school {e.head!r} receives more teachers than it releases")
-        if need > e.upper:
-            raise InfeasibleTransferError(
-                f"school {e.head!r} exceeds its surplus")
-        values[(e.tail, e.head)] = need
-
-    inflows = {s.node: sum(values[(e.tail, e.head)]
-                           for e in network.in_edges[s.node])
-               for s in network.sinks}
-    return Flow(values, inflows, sum(inflows.values()))
 
 
 def to_dot(network: FlowNetwork) -> str:

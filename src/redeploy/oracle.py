@@ -12,7 +12,7 @@ from typing import Iterable, Iterator, Mapping
 from .errors import CapExceededError, SolverDefectError, UnknownIdError
 from .instance import STAY, DeficitVector, Instance, Transfer
 
-DEFAULT_ENUMERATION_CAP = 10_000_000
+ENUMERATION_CAP = 10_000_000
 
 
 def descending_prefix_sums(values: Iterable) -> tuple:
@@ -75,7 +75,7 @@ def _check_cap(table, cap):
 
 def iter_outcomes(instance: Instance, *,
                   acceptable: Mapping[str, frozenset[str]] | None = None,
-                  cap: int = DEFAULT_ENUMERATION_CAP
+                  cap: int = ENUMERATION_CAP
                   ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Yield (destinations, post-transfer deficits) for every feasible
     transfer, destinations as deficit indices with len(D) meaning STAY.
@@ -126,7 +126,7 @@ def _to_transfer(instance: Instance, destinations: tuple[int, ...]) -> Transfer:
 
 def enumerate_transfers(instance: Instance, *,
                         acceptable: Mapping[str, frozenset[str]] | None = None,
-                        cap: int = DEFAULT_ENUMERATION_CAP
+                        cap: int = ENUMERATION_CAP
                         ) -> Iterator[Transfer]:
     """All feasible transfers, in the mechanism's tie-breaking order."""
     for destinations, _ in iter_outcomes(instance, acceptable=acceptable,
@@ -135,8 +135,7 @@ def enumerate_transfers(instance: Instance, *,
 
 
 def dominant_outcomes(instance: Instance, *,
-                      acceptable: Mapping[str, frozenset[str]] | None = None,
-                      cap: int = DEFAULT_ENUMERATION_CAP):
+                      acceptable: Mapping[str, frozenset[str]] | None = None):
     """Scan the whole transfer space for the Lorenz-dominant outcomes.
 
     Returns (multiset, destination tuples) where multiset is the common
@@ -146,8 +145,7 @@ def dominant_outcomes(instance: Instance, *,
     best_prefix = None
     winners: list[tuple[int, ...]] = []
     for destinations, deficits in iter_outcomes(instance,
-                                                acceptable=acceptable,
-                                                cap=cap):
+                                                acceptable=acceptable):
         prefix = descending_prefix_sums(deficits)
         if best_prefix is None:
             best_prefix = prefix
@@ -179,16 +177,14 @@ def dominant_outcomes(instance: Instance, *,
     return tuple(multiset), winners
 
 
-def brute_force_lorenz_dominant(instance: Instance, *,
-                                cap: int = DEFAULT_ENUMERATION_CAP
+def brute_force_lorenz_dominant(instance: Instance
                                 ) -> tuple[tuple, tuple[Transfer, ...]]:
     """The dominant deficit multiset and every transfer achieving it."""
-    multiset, winners = dominant_outcomes(instance, cap=cap)
+    multiset, winners = dominant_outcomes(instance)
     return multiset, tuple(_to_transfer(instance, w) for w in winners)
 
 
-def brute_force_v(instance: Instance, subset: Iterable[str], *,
-                  cap: int = DEFAULT_ENUMERATION_CAP) -> int:
+def brute_force_v(instance: Instance, subset: Iterable[str]) -> int:
     """Largest number of teachers any transfer places into the subset."""
     chosen = set(subset)
     unknown = chosen - set(instance.deficit_index)
@@ -196,6 +192,6 @@ def brute_force_v(instance: Instance, subset: Iterable[str], *,
         raise UnknownIdError(f"not deficit schools: {sorted(unknown)}")
     indices = {instance.deficit_index[d] for d in chosen}
     best = 0
-    for destinations, _ in iter_outcomes(instance, cap=cap):
+    for destinations, _ in iter_outcomes(instance):
         best = max(best, sum(1 for d in destinations if d in indices))
     return best

@@ -19,16 +19,12 @@ from typing import Mapping
 
 from .egalitarian import Decomposition, decompose
 from .errors import SolverDefectError
-from .game import DEFAULT_SUBSET_CAP, FlowGame
+from .game import FlowGame
 from .instance import DeficitVector, is_feasible, post_transfer_deficits
 from .maxflow import max_flow_with_lower_bounds
 from .network import Edge, Flow, FlowNetwork, Node, SinkSpec, \
-    build_base_network, build_extended_network, \
-    build_specialization_network, flow_to_transfer
-from .typed import TypedInstance, is_feasible_typed, \
-    post_transfer_deficits_typed
-
-VARIANTS = ("base", "extended", "specialization")
+    build_network, flow_to_transfer
+from .typed import is_feasible_typed, post_transfer_deficits_typed
 
 
 @dataclass(frozen=True)
@@ -161,30 +157,20 @@ def _verify(instance, variant: str, solution: RoundedSolution):
             realized=after.as_mapping())
 
 
-def solve(instance, variant: str = "base", *,
-          subset_cap: int = DEFAULT_SUBSET_CAP) -> SolveResult:
+def solve(instance, variant: str = "base") -> SolveResult:
     """Full pipeline: network, induced game, egalitarian split, rounding.
 
     The result's transfer realizes an integral deficit vector that
     Lorenz-dominates the outcome of every other feasible transfer.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
     timings: dict[str, float] = {}
 
     start = time.perf_counter()
-    if variant == "specialization":
-        if not isinstance(instance, TypedInstance):
-            raise TypeError("specialization variant needs a TypedInstance")
-        network = build_specialization_network(instance)
-    elif variant == "extended":
-        network = build_extended_network(instance)
-    else:
-        network = build_base_network(instance)
+    network = build_network(instance, variant)
     timings["network"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    game = FlowGame(network, subset_cap=subset_cap)
+    game = FlowGame(network)
     decomposition = decompose(game)
     timings["decompose"] = time.perf_counter() - start
 

@@ -15,7 +15,6 @@ from redeploy import DeficitVector, FlowGame, audit_strategy_proofness, \
     brute_force_lorenz_dominant, build_base_network, check_supermodular, \
     decompose, descending_prefix_sums, is_achievable, max_flow, \
     solve, unstable_select_transfer
-from redeploy.maxflow import BMaxFlowCache
 from redeploy.oracle import iter_outcomes
 
 
@@ -122,13 +121,13 @@ def test_criterion_6_supermodularity_suite(game_suite):
         failures = 0
         for instance in game_suite:
             network = build_base_network(instance)
-            ok, witness = check_supermodular(FlowGame(network))
+            game = FlowGame(network)
+            ok, witness = check_supermodular(game)
             if not ok:
                 failures += 1
                 continue
-            cache = BMaxFlowCache(network)
             size = len(instance.deficit_ids)
-            value = cache.value_for_mask
+            value = game.v_for_mask
             for b in range(1 << size):
                 for k in range(size):
                     bit = 1 << k

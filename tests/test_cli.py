@@ -1,7 +1,17 @@
 import json
 
-from redeploy.cli import main
+import pytest
+
+from redeploy import build_base_network, build_extended_network, \
+    build_specialization_network, to_dot
+from redeploy.cli import _load_instance, main
 from tests.conftest import FIXTURES
+
+VARIANT_FIXTURES = [("example_rounding.json", "base"),
+                    ("example_chain.json", "extended"),
+                    ("example_subjects.json", "specialization")]
+BUILDERS = {"base": build_base_network, "extended": build_extended_network,
+            "specialization": build_specialization_network}
 
 
 def run(capsys, *argv):
@@ -118,6 +128,53 @@ def test_verify_unachievable_deficits(tmp_path, capsys):
     assert "differs from brute-force" in out
 
 
+@pytest.mark.parametrize("fixture,variant", VARIANT_FIXTURES[1:])
+def test_verify_refuses_non_base_solutions(tmp_path, capsys, fixture,
+                                           variant):
+    solution = tmp_path / "solution.json"
+    run(capsys, "solve", FIXTURES / fixture, "--variant", variant,
+        "-o", solution)
+    code, out, err = run(capsys, "verify", FIXTURES / fixture,
+                         "--solution", solution)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and repr(variant) in err
+
+
+def test_solution_missing_a_field_is_invalid(tmp_path, capsys):
+    solution = tmp_path / "solution.json"
+    run(capsys, "solve", FIXTURES / "example_small.json", "-o", solution)
+    doc = json.loads(solution.read_text())
+    del doc["transfer"]
+    solution.write_text(json.dumps(doc))
+    for argv in (("verify", FIXTURES / "example_small.json",
+                  "--solution", solution),
+                 ("report", solution)):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "missing field 'transfer'" in err
+
+
+def test_report_rejects_a_solution_missing_a_school(tmp_path, capsys):
+    solution = tmp_path / "solution.json"
+    run(capsys, "solve", FIXTURES / "example_small.json", "-o", solution)
+    doc = json.loads(solution.read_text())
+    del doc["fractional"]["d2"]
+    solution.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "report", solution)
+    assert code == 2
+    assert "'fractional' lacks schools ['d2']" in err
+
+
+def test_internal_key_error_is_not_invalid_input(monkeypatch):
+    def broken(instance, variant="base"):
+        raise KeyError("internal")
+
+    monkeypatch.setattr("redeploy.cli.solve", broken)
+    with pytest.raises(KeyError):
+        main(["solve", str(FIXTURES / "example_small.json")])
+
+
 def test_audit_sp_clean_and_broken(capsys):
     code, out, _ = run(capsys, "audit-sp", FIXTURES / "example_small.json",
                        "--all")
@@ -181,7 +238,29 @@ def test_report_zero_moves(tmp_path, capsys):
     assert "0 teachers moved" in out
 
 
+@pytest.mark.parametrize("fixture,variant", VARIANT_FIXTURES)
+def test_report_csv_beta_is_the_instance_beta(tmp_path, capsys, fixture,
+                                              variant):
+    solution = tmp_path / "solution.json"
+    run(capsys, "solve", FIXTURES / fixture, "--variant", variant,
+        "-o", solution)
+    csv_path = tmp_path / "rows.csv"
+    code, _, _ = run(capsys, "report", solution, "--csv", csv_path)
+    assert code == 0
+    instance = _load_instance(FIXTURES / fixture, variant)
+    betas = dict(instance.deficit_positions) if variant == "specialization" \
+        else instance.betas
+    rows = [row.split(",") for row in csv_path.read_text().splitlines()[1:]]
+    assert {school: int(beta) for school, beta, _, _ in rows} == betas
+
+
 def test_dot_command(tmp_path, capsys):
     code, out, _ = run(capsys, "dot", FIXTURES / "example_small.json")
     assert code == 0
     assert out.startswith("digraph")
+    for fixture, variant in VARIANT_FIXTURES:
+        code, out, _ = run(capsys, "dot", FIXTURES / fixture,
+                           "--variant", variant)
+        assert code == 0
+        instance = _load_instance(FIXTURES / fixture, variant)
+        assert out == to_dot(BUILDERS[variant](instance))

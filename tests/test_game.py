@@ -1,12 +1,20 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from redeploy import CapExceededError, DeficitVector, FlowGame, \
-    blocking_coalition, build_base_network, check_supermodular, \
-    is_achievable, max_flow_with_lower_bounds, pin_sink_inflows, \
-    post_transfer_deficits
+from redeploy import CapExceededError, DeficitVector, FlowGame, SinkSpec, \
+    b_max_flow, blocking_coalition, build_base_network, check_supermodular, \
+    is_achievable, max_flow_with_lower_bounds, post_transfer_deficits, \
+    validate
 from tests.conftest import naive_enumerate
+
+
+def pin_sink_inflows(network, inflows):
+    """Force the inflow of every sink to an exact value (lower = upper)."""
+    sinks = tuple(SinkSpec(s.node, inflows[s.node], inflows[s.node])
+                  for s in network.sinks)
+    return replace(network, sinks=sinks)
 
 
 class TabularGame:
@@ -50,16 +58,42 @@ def test_worth_small(small_instance):
 
 
 def test_subset_cap():
-    instance_doc = {
-        "surplus_schools": [{"id": "s", "alpha": 1}],
-        "deficit_schools": [{"id": f"d{k}", "beta": 1} for k in range(3)],
-        "teachers": [{"id": "t", "origin": "s", "acceptable": ["d0"]}],
-    }
-    from redeploy import validate
+    def network(deficit_schools):
+        return build_base_network(validate({
+            "surplus_schools": [{"id": "s", "alpha": 1}],
+            "deficit_schools": [{"id": f"d{k}", "beta": 1}
+                                for k in range(deficit_schools)],
+            "teachers": [{"id": "t", "origin": "s", "acceptable": ["d0"]}],
+        }))
 
-    net = build_base_network(validate(instance_doc))
-    with pytest.raises(CapExceededError):
-        FlowGame(net, subset_cap=2)
+    assert len(FlowGame(network(24)).universe) == 24
+    with pytest.raises(CapExceededError) as info:
+        FlowGame(network(25))
+    assert str(info.value) == (
+        "25 deficit schools exceed the subset cap 24: scanning coalitions "
+        "is exponential in the deficit-school count")
+    assert (info.value.limit, info.value.actual) == (24, 25)
+
+
+def test_worth_runs_one_flow_per_distinct_mask(small_instance, monkeypatch):
+    subsets = []
+
+    def counting(network, subset):
+        subsets.append(frozenset(subset))
+        return b_max_flow(network, subset)
+
+    monkeypatch.setattr("redeploy.game.b_max_flow", counting)
+    net = build_base_network(small_instance)
+    game = FlowGame(net)
+    first = game.worth(["d1", "d2"])
+    assert game.worth(["d2", "d1"]) == first
+    assert game.worth_for_mask(game.mask_of(["d1", "d2"])) == first
+    assert subsets == [frozenset({"d1", "d2"})]
+    full = 1 << len(game.universe)
+    for mask in range(full):
+        assert game.v_for_mask(mask) \
+            == b_max_flow(net, game.subset_of(mask))
+    assert len(subsets) == len(set(subsets)) == full - 1
 
 
 def test_bad_rounding_is_not_achievable(rounding_instance):

@@ -200,7 +200,7 @@ def test_deficit_vector_accessors():
     assert vec["b"] == 3
     assert vec.total(["a"]) == 2
     assert vec.total() == 5
-    assert vec.numeric_kind == "integer"
+    assert vec.is_integral
     assert vec.sorted_multiset() == (3, 2)
     with pytest.raises(ValueError):
         DeficitVector(("a",), (-1,))

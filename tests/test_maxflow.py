@@ -3,9 +3,8 @@ import random
 
 import pytest
 
-from redeploy import UnknownIdError, b_max_flow, build_base_network, \
-    max_flow, max_flow_with_lower_bounds, random_instance
-from redeploy.maxflow import BMaxFlowCache
+from redeploy import FlowGame, UnknownIdError, b_max_flow, \
+    build_base_network, max_flow, max_flow_with_lower_bounds, random_instance
 from redeploy.network import Edge, FlowNetwork, Node, SinkSpec
 
 
@@ -118,9 +117,8 @@ def test_b_max_flow_agrees_with_brute_force():
 def test_v_monotone_and_submodular(game_suite):
     for instance in game_suite:
         ids = instance.deficit_ids
-        cache = BMaxFlowCache(build_base_network(instance))
         masks = range(1 << len(ids))
-        value = cache.value_for_mask
+        value = FlowGame(build_base_network(instance)).v_for_mask
         for b in masks:
             for k in range(len(ids)):
                 bit = 1 << k
@@ -138,15 +136,8 @@ def test_v_monotone_and_submodular(game_suite):
                     a = (a - 1) & b
 
 
-def test_memo_cache_reuses_results(small_instance):
-    cache = BMaxFlowCache(build_base_network(small_instance))
-    first = cache.value(["d1", "d2"])
-    assert cache.value(["d2", "d1"]) == first
-    assert cache.value_for_mask(cache.mask_of(["d1", "d2"])) == first
-
-
 def test_augmented_value_matches_block_totals(rounding_instance):
-    from redeploy import FlowGame, build_augmented_network, decompose
+    from redeploy import build_augmented_network, decompose
 
     net = build_base_network(rounding_instance)
     dec = decompose(FlowGame(net))

@@ -2,12 +2,52 @@ import random
 
 import pytest
 
-from redeploy import STAY, Flow, Transfer, build_base_network, \
-    build_extended_network, build_specialization_network, \
-    cancel_circulations, flow_to_transfer, is_feasible, max_flow, \
-    post_transfer_deficits, random_instance, to_dot, transfer_to_flow, \
+from redeploy import STAY, Flow, InfeasibleTransferError, Transfer, \
+    build_base_network, build_extended_network, \
+    build_specialization_network, cancel_circulations, flow_to_transfer, \
+    is_feasible, max_flow, post_transfer_deficits, random_instance, to_dot, \
     validate, validate_typed
 from redeploy.network import SOURCE
+
+
+def transfer_to_flow(network, transfer):
+    """Inverse of flow_to_transfer for a feasible transfer."""
+    values = {(e.tail, e.head): 0 for e in network.edges}
+    kinds = network.kinds
+    moved_in = {}
+    moved_out = {}
+    for teacher_id in network.teachers:
+        dest = transfer.destination(teacher_id)
+        if dest == STAY:
+            continue
+        in_edges = network.in_edges.get(teacher_id, ())
+        if len(in_edges) != 1:
+            raise InfeasibleTransferError(
+                f"teacher {teacher_id!r} is not in the network")
+        supply = in_edges[0].tail
+        if (teacher_id, dest) not in values:
+            raise InfeasibleTransferError(
+                f"no edge for move {teacher_id!r} -> {dest!r}")
+        values[(supply, teacher_id)] = 1
+        values[(teacher_id, dest)] = 1
+        moved_out[supply] = moved_out.get(supply, 0) + 1
+        if kinds[dest] == "school":
+            moved_in[dest] = moved_in.get(dest, 0) + 1
+
+    for e in network.out_edges[network.source]:
+        need = moved_out.get(e.head, 0) - moved_in.get(e.head, 0)
+        if need < 0:
+            raise InfeasibleTransferError(
+                f"school {e.head!r} receives more teachers than it releases")
+        if need > e.upper:
+            raise InfeasibleTransferError(
+                f"school {e.head!r} exceeds its surplus")
+        values[(e.tail, e.head)] = need
+
+    inflows = {s.node: sum(values[(e.tail, e.head)]
+                           for e in network.in_edges[s.node])
+               for s in network.sinks}
+    return Flow(values, inflows, sum(inflows.values()))
 
 
 def test_base_network_shape(small_instance):
