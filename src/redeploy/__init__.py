@@ -6,12 +6,15 @@ plan whose remaining deficit profile Lorenz-dominates every other feasible
 outcome: it is simultaneously best for the total, for the worst-off school,
 and for any convex cost of deficits.  The solver runs an exact-rational
 egalitarian split of the induced cooperative game and rounds it through a
-max-flow with floor/ceiling bounds; an independent brute-force oracle and a
-strategy-proofness auditor ship alongside.
+max-flow with floor/ceiling bounds.  `solve` is polynomial: each block of
+the split takes a few Dinkelbach steps of one minimum cut each.  A
+brute-force oracle (transfer enumeration and a test-only scan of every
+coalition) and a strategy-proofness auditor ship alongside; those
+exhaustive checks, and the game's achievability and supermodularity scans,
+refuse inputs beyond their caps.
 """
 
-from .egalitarian import Decomposition, argmax_average_marginal, \
-    average_marginal_maximizers, decompose
+from .egalitarian import Decomposition, argmax_average_marginal, decompose
 from .errors import CapExceededError, InfeasibleTransferError, \
     SolverDefectError, UnknownIdError, ValidationError
 from .game import FlowGame, blocking_coalition, check_supermodular, \

@@ -80,8 +80,14 @@ def solution_doc(instance_doc: dict, path: str,
     }
 
 
+#: Value type of each solution field that maps ids to values.
+_MAPPING_FIELDS = {"transfer": (str, "a string"),
+                   "deficits": (int, "an integer")}
+
+
 def _load_solution(path: str, fields) -> dict:
-    """Read a solution document that has every one of the given fields."""
+    """Read a solution document that has every one of the given fields,
+    each id-keyed one mapping to values of its type."""
     doc = json.loads(_read(path))
     if not isinstance(doc, dict):
         raise ValidationError(["solution document must be an object"])
@@ -89,6 +95,20 @@ def _load_solution(path: str, fields) -> dict:
                for field in fields if field not in doc]
     if missing:
         raise ValidationError(missing)
+    errors = []
+    for field in fields:
+        if field not in _MAPPING_FIELDS:
+            continue
+        kind, noun = _MAPPING_FIELDS[field]
+        if not isinstance(doc[field], dict):
+            errors.append(f"solution field {field!r} must be an object")
+            continue
+        errors += [f"solution field {field!r} maps {key!r} to {value!r}, "
+                   f"not {noun}"
+                   for key, value in doc[field].items()
+                   if not isinstance(value, kind) or isinstance(value, bool)]
+    if errors:
+        raise ValidationError(errors)
     return doc
 
 
@@ -117,7 +137,7 @@ def cmd_verify(args) -> int:
 
     if doc is not None:
         transfer = Transfer.from_mapping(doc["transfer"])
-        claimed = {k: int(v) for k, v in doc["deficits"].items()}
+        claimed = doc["deficits"]
         try:
             deficits = post_transfer_deficits(instance, transfer)
         except InfeasibleTransferError:

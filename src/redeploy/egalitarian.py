@@ -5,8 +5,14 @@ Ray 1989): peel off the coalition with the highest average marginal worth,
 give each of its members that average, and repeat on the rest.  The result
 is an ordered partition into blocks with weakly decreasing per-school values
 and a fractional deficit vector that Lorenz-dominates every vector
-satisfying the relaxed-core inequalities.  All arithmetic is exact; 22/5
-never becomes 4.3999.
+satisfying the relaxed-core inequalities: the lexicographically optimal base
+of the polymatroid (Fujishige 1980).  All arithmetic is exact; 22/5 never
+becomes 4.3999.
+
+Each block is a fractional maximization, solved by Dinkelbach's method
+(Dinkelbach 1967) with one minimum cut of the network per step, so the split
+is polynomial in the network size.  The exhaustive scan over every
+coalition survives only as the test oracle in `redeploy.oracle`.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from fractions import Fraction
 
 from .errors import SolverDefectError
 from .instance import DeficitVector
+from .maxflow import sink_side_sinks
 
 
 @dataclass(frozen=True)
@@ -42,61 +49,51 @@ class Decomposition:
         return tuple(values)
 
 
-def average_marginal_maximizers(game, base: frozenset[str]):
-    """Best average marginal worth over the remaining schools and every
-    subset attaining it.
+def argmax_average_marginal(game, base: frozenset[str]) -> frozenset[str]:
+    """The inclusion-wise largest coalition of remaining schools with the
+    highest average marginal worth over the base.
 
-    Returns (best, maximizers) with maximizers in ascending mask order.
+    Dinkelbach's method for the fractional maximum: at lambda = p/q, the
+    largest maximizer of w(base + S) - w(base) - lambda |S| is the set of
+    remaining sinks on the sink side of the minimal minimum cut of the
+    network with every arc scaled by q, placed sinks at beta q and
+    remaining sinks at (beta q - p)+, keeping only sinks with beta q >= p.
+    Its average becomes the next lambda until the average stops rising;
+    the last set is then the largest maximizer.
     """
-    base_mask = game.mask_of(base)
     remaining = [node for node in game.universe if node not in base]
     if not remaining:
         raise ValueError("no schools left to extend the base")
-    bits = [game.mask_of([node]) for node in remaining]
-    base_worth = game.worth_for_mask(base_mask)
+    base_worth = game.worth(base)
 
-    best = None
-    maximizer_masks: list[int] = []
-    for sub in range(1, 1 << len(remaining)):
-        mask = 0
-        size = 0
-        m, k = sub, 0
-        while m:
-            if m & 1:
-                mask |= bits[k]
-                size += 1
-            m >>= 1
-            k += 1
-        average = Fraction(game.worth_for_mask(base_mask | mask) - base_worth,
-                           size)
-        if best is None or average > best:
-            best = average
-            maximizer_masks = [mask]
-        elif average == best:
-            maximizer_masks.append(mask)
+    def average(subset) -> Fraction:
+        return Fraction(game.worth(base | subset) - base_worth, len(subset))
 
-    maximizers = tuple(game.subset_of(mask) for mask in maximizer_masks)
-    return best, maximizers
-
-
-def argmax_average_marginal(game, base: frozenset[str]) -> frozenset[str]:
-    """The inclusion-wise largest maximizer.
-
-    The maximizer family of a convex game is closed under union, so the
-    union of all maximizers is itself one; that is asserted, not assumed.
-    """
-    best, maximizers = average_marginal_maximizers(game, base)
-    union: frozenset[str] = frozenset().union(*maximizers)
-    base_worth = game.worth_for_mask(game.mask_of(base))
-    union_avg = Fraction(
-        game.worth_for_mask(game.mask_of(base | union)) - base_worth,
-        len(union))
-    if union_avg != best:
-        raise SolverDefectError(
-            "maximizer family is not closed under union",
-            base=sorted(base), best=best,
-            maximizers=[sorted(m) for m in maximizers])
-    return union
+    block = frozenset(remaining)
+    level = average(block)
+    if level == 0:
+        # the worth is monotone, so no coalition gains anything
+        return block
+    betas = game.network.sink_capacities
+    while True:
+        p, q = level.numerator, level.denominator
+        capacities = {node: betas[node] * q for node in base}
+        capacities.update((node, max(betas[node] * q - p, 0))
+                          for node in remaining)
+        cut = sink_side_sinks(game.network, capacities, q)
+        block = frozenset(node for node in remaining
+                          if node in cut and betas[node] * q >= p)
+        if not block:
+            raise SolverDefectError("Dinkelbach step found no coalition",
+                                    base=sorted(base), level=level)
+        value = average(block)
+        if value == level:
+            return block
+        if value < level:
+            raise SolverDefectError(
+                "Dinkelbach level failed to rise", base=sorted(base),
+                level=level, block=sorted(block), value=value)
+        level = value
 
 
 def decompose(game) -> Decomposition:

@@ -21,6 +21,15 @@ from .network import FlowNetwork
 SUBSET_CAP = 24
 
 
+def check_subset_cap(players: int):
+    """Refuse exhaustive coalition work over more than SUBSET_CAP players."""
+    if players > SUBSET_CAP:
+        raise CapExceededError(
+            f"{players} deficit schools exceed the subset cap {SUBSET_CAP}: "
+            f"scanning coalitions is exponential in the deficit-school count",
+            limit=SUBSET_CAP, actual=players)
+
+
 class FlowGame:
     """Characteristic function w over the sinks of a network, memoized by
     coalition bitmask.
@@ -32,12 +41,6 @@ class FlowGame:
     def __init__(self, network: FlowNetwork):
         self.network = network
         self.universe: tuple[str, ...] = network.sink_nodes
-        if len(self.universe) > SUBSET_CAP:
-            raise CapExceededError(
-                f"{len(self.universe)} deficit schools exceed the subset "
-                f"cap {SUBSET_CAP}: scanning coalitions is exponential in "
-                f"the deficit-school count",
-                limit=SUBSET_CAP, actual=len(self.universe))
         capacities = network.sink_capacities
         self._betas = tuple(capacities[node] for node in self.universe)
         self._bit = {node: 1 << k for k, node in enumerate(self.universe)}
@@ -94,6 +97,7 @@ def blocking_coalition(vector: DeficitVector, game) -> frozenset[str] | None:
     universe = tuple(game.universe)
     if set(vector.ids) != set(universe):
         raise ValueError("vector keys do not match the game's players")
+    check_subset_cap(len(universe))
     values = tuple(vector[node] for node in universe)
     full = 1 << len(universe)
     for mask in range(1, full):
@@ -120,6 +124,7 @@ def check_supermodular(game):
     Returns (True, None) or (False, (A, B, d)) with a witness triple.
     """
     universe = tuple(game.universe)
+    check_subset_cap(len(universe))
     full = 1 << len(universe)
     for b_mask in range(1, full):
         outside = [k for k in range(len(universe)) if not b_mask >> k & 1]

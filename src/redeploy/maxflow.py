@@ -37,8 +37,9 @@ class _Residual:
         return index
 
     def max_flow(self, source: int, sink: int) -> int:
+        adj, to, cap = self.adj, self.to, self.cap
         total = 0
-        n = len(self.adj)
+        n = len(adj)
         while True:
             parent_edge = [-1] * n
             parent_edge[source] = -2
@@ -46,9 +47,9 @@ class _Residual:
             for u in queue:
                 if u == sink:
                     break
-                for i in self.adj[u]:
-                    v = self.to[i]
-                    if parent_edge[v] == -1 and self.cap[i] > 0:
+                for i in adj[u]:
+                    v = to[i]
+                    if parent_edge[v] == -1 and cap[i] > 0:
                         parent_edge[v] = i
                         queue.append(v)
             if parent_edge[sink] == -1:
@@ -57,16 +58,29 @@ class _Residual:
             v = sink
             while v != source:
                 i = parent_edge[v]
-                if bottleneck is None or self.cap[i] < bottleneck:
-                    bottleneck = self.cap[i]
-                v = self.to[i ^ 1]
+                if bottleneck is None or cap[i] < bottleneck:
+                    bottleneck = cap[i]
+                v = to[i ^ 1]
             v = sink
             while v != source:
                 i = parent_edge[v]
-                self.cap[i] -= bottleneck
-                self.cap[i ^ 1] += bottleneck
-                v = self.to[i ^ 1]
+                cap[i] -= bottleneck
+                cap[i ^ 1] += bottleneck
+                v = to[i ^ 1]
             total += bottleneck
+
+    def reachable(self, source: int) -> list[bool]:
+        """Nodes reachable from source along arcs with residual capacity."""
+        seen = [False] * len(self.adj)
+        seen[source] = True
+        queue = [source]
+        for u in queue:
+            for i in self.adj[u]:
+                v = self.to[i]
+                if not seen[v] and self.cap[i] > 0:
+                    seen[v] = True
+                    queue.append(v)
+        return seen
 
     def flow_on(self, index: int) -> int:
         return self.cap[index ^ 1]
@@ -83,29 +97,54 @@ def infinite_capacity(network: FlowNetwork) -> int:
             + 1)
 
 
-def max_flow(network: FlowNetwork, *,
-             sink_capacity_override: Mapping[str, int] | None = None
-             ) -> tuple[int, Flow]:
-    """Maximum integral flow into the sinks; requires zero lower bounds."""
+def _sink_graph(network: FlowNetwork, sink_capacities: Mapping[str, int],
+                scale: int = 1):
+    """Residual graph of a network without lower bounds: every arc's
+    capacity multiplied by scale, and each sink joined to one super-sink
+    by an arc of its given capacity (its own capacity when not given)."""
     if network.has_lower_bounds():
         raise ValueError("network has lower bounds; use "
                          "max_flow_with_lower_bounds")
     index = dict(network.node_index)
     sink = len(index)
     graph = _Residual(sink + 1)
-    edge_ids = [graph.add_edge(index[e.tail], index[e.head], e.upper)
+    edge_ids = [graph.add_edge(index[e.tail], index[e.head], e.upper * scale)
                 for e in network.edges]
-    override = sink_capacity_override or {}
     sink_ids = [graph.add_edge(index[s.node], sink,
-                               override.get(s.node, s.capacity))
+                               sink_capacities.get(s.node, s.capacity))
                 for s in network.sinks]
+    return graph, index, edge_ids, sink_ids
 
-    value = graph.max_flow(index[network.source], sink)
+
+def max_flow(network: FlowNetwork, *,
+             sink_capacity_override: Mapping[str, int] | None = None
+             ) -> tuple[int, Flow]:
+    """Maximum integral flow into the sinks; requires zero lower bounds."""
+    graph, index, edge_ids, sink_ids = _sink_graph(
+        network, sink_capacity_override or {})
+    value = graph.max_flow(index[network.source], len(index))
     values = {(e.tail, e.head): graph.flow_on(i)
               for e, i in zip(network.edges, edge_ids)}
     inflows = {s.node: graph.flow_on(i)
                for s, i in zip(network.sinks, sink_ids)}
     return value, Flow(values, inflows, value)
+
+
+def sink_side_sinks(network: FlowNetwork, sink_capacities: Mapping[str, int],
+                    scale: int) -> frozenset[str]:
+    """Sinks on the sink side of the minimal minimum cut.
+
+    Every arc capacity is multiplied by scale and each sink's arc gets the
+    given capacity.  The minimal cut's source side is what a maximum flow
+    leaves reachable from the source, so the sinks outside it form the
+    largest sink set any minimum cut separates from the source.
+    """
+    graph, index, _, _ = _sink_graph(network, sink_capacities, scale)
+    source = index[network.source]
+    graph.max_flow(source, len(index))
+    reached = graph.reachable(source)
+    return frozenset(s.node for s in network.sinks
+                     if not reached[index[s.node]])
 
 
 def max_flow_with_lower_bounds(network: FlowNetwork

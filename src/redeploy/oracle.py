@@ -1,15 +1,21 @@
-"""Brute-force ground truth, kept independent of the flow machinery.
+"""Brute-force ground truth, kept independent of the solver's algorithms.
 
 Feasibility here is checked by direct counting against the three transfer
 constraints, never by running flows, so agreement between this module and
-the solver is evidence rather than tautology.
+the solver is evidence rather than tautology.  The egalitarian split is
+checked the same way: a scan of every coalition of the remaining schools,
+reading worths from the game, in place of the solver's Dinkelbach cuts.
+Nothing on the `solve` path calls this module.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
+from .egalitarian import Decomposition
 from .errors import CapExceededError, SolverDefectError, UnknownIdError
+from .game import check_subset_cap
 from .instance import STAY, DeficitVector, Instance, Transfer
 
 ENUMERATION_CAP = 10_000_000
@@ -195,3 +201,77 @@ def brute_force_v(instance: Instance, subset: Iterable[str]) -> int:
     for destinations, _ in iter_outcomes(instance):
         best = max(best, sum(1 for d in destinations if d in indices))
     return best
+
+
+def average_marginal_maximizers(game, base: frozenset[str]):
+    """Best average marginal worth over the remaining schools and every
+    subset attaining it, by scanning all 2^n - 1 of them.
+
+    Returns (best, maximizers) with maximizers in ascending mask order.
+    """
+    check_subset_cap(len(game.universe))
+    base_mask = game.mask_of(base)
+    remaining = [node for node in game.universe if node not in base]
+    if not remaining:
+        raise ValueError("no schools left to extend the base")
+    bits = [game.mask_of([node]) for node in remaining]
+    base_worth = game.worth_for_mask(base_mask)
+
+    best = None
+    maximizer_masks: list[int] = []
+    for sub in range(1, 1 << len(remaining)):
+        mask = 0
+        size = 0
+        m, k = sub, 0
+        while m:
+            if m & 1:
+                mask |= bits[k]
+                size += 1
+            m >>= 1
+            k += 1
+        average = Fraction(game.worth_for_mask(base_mask | mask) - base_worth,
+                           size)
+        if best is None or average > best:
+            best = average
+            maximizer_masks = [mask]
+        elif average == best:
+            maximizer_masks.append(mask)
+
+    maximizers = tuple(game.subset_of(mask) for mask in maximizer_masks)
+    return best, maximizers
+
+
+def scan_argmax_average_marginal(game, base: frozenset[str]
+                                 ) -> frozenset[str]:
+    """The union of all maximizers found by the scan.
+
+    The maximizer family of a convex game is closed under union, so the
+    union is itself one; that is asserted, not assumed.
+    """
+    best, maximizers = average_marginal_maximizers(game, base)
+    union: frozenset[str] = frozenset().union(*maximizers)
+    base_worth = game.worth(base)
+    if Fraction(game.worth(base | union) - base_worth, len(union)) != best:
+        raise SolverDefectError(
+            "maximizer family is not closed under union",
+            base=sorted(base), best=best,
+            maximizers=[sorted(m) for m in maximizers])
+    return union
+
+
+def scan_decompose(game) -> Decomposition:
+    """The greedy egalitarian split with every block found by the scan."""
+    placed: frozenset[str] = frozenset()
+    blocks: list[frozenset[str]] = []
+    worths: list[int] = []
+    per_school: dict[str, Fraction] = {}
+    while len(placed) < len(game.universe):
+        block = scan_argmax_average_marginal(game, placed)
+        gain = game.worth(placed | block) - game.worth(placed)
+        for node in block:
+            per_school[node] = Fraction(gain, len(block))
+        placed |= block
+        blocks.append(block)
+        worths.append(game.worth(placed))
+    target = DeficitVector.from_mapping(per_school, game.universe)
+    return Decomposition(tuple(blocks), target, tuple(worths))

@@ -20,7 +20,8 @@ from typing import Mapping
 from .egalitarian import Decomposition, decompose
 from .errors import SolverDefectError
 from .game import FlowGame
-from .instance import DeficitVector, is_feasible, post_transfer_deficits
+from .instance import DeficitVector, Transfer, is_feasible, \
+    post_transfer_deficits
 from .maxflow import max_flow_with_lower_bounds
 from .network import Edge, Flow, FlowNetwork, Node, SinkSpec, \
     build_network, flow_to_transfer

@@ -11,11 +11,10 @@ import time
 from fractions import Fraction
 
 from redeploy import DeficitVector, FlowGame, audit_strategy_proofness, \
-    average_marginal_maximizers, blocking_coalition, \
-    brute_force_lorenz_dominant, build_base_network, check_supermodular, \
-    decompose, descending_prefix_sums, is_achievable, max_flow, \
-    solve, unstable_select_transfer
-from redeploy.oracle import iter_outcomes
+    blocking_coalition, brute_force_lorenz_dominant, build_base_network, \
+    check_supermodular, decompose, descending_prefix_sums, is_achievable, \
+    max_flow, solve, unstable_select_transfer
+from redeploy.oracle import average_marginal_maximizers, iter_outcomes
 
 
 class _clock:

@@ -155,6 +155,46 @@ def test_solution_missing_a_field_is_invalid(tmp_path, capsys):
         assert "missing field 'transfer'" in err
 
 
+@pytest.mark.parametrize("deficits, message", [
+    ({"d1": "x", "d2": 1, "d3": 1},
+     "solution field 'deficits' maps 'd1' to 'x', not an integer"),
+    ([], "solution field 'deficits' must be an object"),
+])
+def test_verify_refuses_mistyped_deficits(tmp_path, capsys, deficits,
+                                          message):
+    solution = tmp_path / "solution.json"
+    run(capsys, "solve", FIXTURES / "example_small.json", "-o", solution)
+    doc = json.loads(solution.read_text())
+    doc["deficits"] = deficits
+    solution.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", FIXTURES / "example_small.json",
+                         "--solution", solution)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: invalid input: {message}\n"
+
+
+def test_solve_runs_past_the_subset_cap(tmp_path, capsys):
+    instance = tmp_path / "wide.json"
+    solution = tmp_path / "solution.json"
+    run(capsys, "gen", "--seed", 5, "--surplus", 8, "--deficit", 40,
+        "--teachers", 120, "--accept-prob", 0.1, "-o", instance)
+    code, _, _ = run(capsys, "solve", instance, "-o", solution)
+    assert code == 0
+    doc = json.loads(solution.read_text())
+    assert len(doc["deficits"]) == 40
+    assert sorted(sum(doc["blocks"], [])) == sorted(doc["deficits"])
+
+    # verify's achievability scan stays exhaustive, so it keeps the cap
+    run(capsys, "gen", "--seed", 5, "--surplus", 2, "--deficit", 25,
+        "--teachers", 3, "-o", instance)
+    code, _, err = run(capsys, "verify", instance)
+    assert code == 3
+    assert err == ("error: 25 deficit schools exceed the subset cap 24: "
+                   "scanning coalitions is exponential in the "
+                   "deficit-school count\n")
+
+
 def test_report_rejects_a_solution_missing_a_school(tmp_path, capsys):
     solution = tmp_path / "solution.json"
     run(capsys, "solve", FIXTURES / "example_small.json", "-o", solution)

@@ -1,12 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redeploy import FlowGame, SolverDefectError, argmax_average_marginal, \
-    average_marginal_maximizers, build_base_network, decompose, \
-    lorenz_dominates, validate
+from redeploy import FlowGame, Instance, SolverDefectError, Teacher, \
+    argmax_average_marginal, build_base_network, build_network, decompose, \
+    lorenz_dominates, random_instance, validate
+from redeploy.maxflow import _Residual
+from redeploy.oracle import average_marginal_maximizers, \
+    scan_argmax_average_marginal, scan_decompose
 from tests.test_game import TabularGame
 
 
@@ -89,7 +93,7 @@ def test_union_closure_violation_is_loud():
     # their union averages 3/2, so no inclusion-wise largest maximizer
     broken = TabularGame(("a", "b"), {0b00: 0, 0b01: 2, 0b10: 2, 0b11: 3})
     with pytest.raises(SolverDefectError, match="union"):
-        argmax_average_marginal(broken, frozenset())
+        scan_argmax_average_marginal(broken, frozenset())
 
 
 def test_tie_break_invariance_of_target_multiset(dominance_suite):
@@ -145,3 +149,59 @@ def test_maximizer_family_closed_under_pairwise_union(game_suite):
 def test_constant_mean_vector_dominates(values):
     mean = Fraction(sum(values), len(values))
     assert lorenz_dominates([mean] * len(values), values)
+
+
+def with_surplus_moves(instance, rng):
+    """The instance with other surplus schools added to some acceptable
+    sets, so that its extended network differs from the base one."""
+    teachers = []
+    for teacher in instance.teachers:
+        extra = [s.id for s in instance.surplus_schools
+                 if s.id != teacher.origin and rng.random() < 0.4]
+        teachers.append(Teacher(teacher.id, teacher.origin,
+                                teacher.acceptable | frozenset(extra)))
+    return Instance(instance.surplus_schools, instance.deficit_schools,
+                    tuple(teachers))
+
+
+def seeded_instances(seed):
+    """Two random instances per deficit-school count from 1 to 10."""
+    rng = random.Random(seed)
+    return [random_instance(rng.randrange(2 ** 32),
+                            surplus=rng.randint(2, 4), deficit=deficit,
+                            teachers=rng.randint(deficit, 3 * deficit),
+                            accept_prob=rng.uniform(0.2, 0.6))
+            for deficit in range(1, 11) for _ in range(2)]
+
+
+def test_decompose_equals_the_scan_decomposition(dominance_suite,
+                                                 game_suite):
+    rng = random.Random(7)
+    for instance in (list(dominance_suite) + list(game_suite)
+                     + seeded_instances(41)):
+        for network in (build_network(instance, "base"),
+                        build_network(with_surplus_moves(instance, rng),
+                                      "extended")):
+            game = FlowGame(network)
+            dec = decompose(game)
+            expected = scan_decompose(game)
+            assert dec.blocks == expected.blocks
+            assert dec.target == expected.target
+            assert dec.block_worths == expected.block_worths
+
+
+def test_decompose_runs_a_few_flows_per_school(monkeypatch):
+    # one block of the exhaustive scan alone runs 2^12 - 1 = 4095 flows
+    flows = []
+    run = _Residual.max_flow
+
+    def counting(graph, source, sink):
+        flows.append(sink)
+        return run(graph, source, sink)
+
+    monkeypatch.setattr(_Residual, "max_flow", counting)
+    instance = random_instance(3, surplus=4, deficit=12, teachers=36,
+                               accept_prob=0.3)
+    dec = decompose(FlowGame(build_base_network(instance)))
+    assert sum(map(len, dec.blocks)) == 12
+    assert 0 < len(flows) <= 3 * 12

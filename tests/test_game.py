@@ -5,8 +5,10 @@ import pytest
 
 from redeploy import CapExceededError, DeficitVector, FlowGame, SinkSpec, \
     b_max_flow, blocking_coalition, build_base_network, check_supermodular, \
-    is_achievable, max_flow_with_lower_bounds, post_transfer_deficits, \
-    validate
+    decompose, is_achievable, max_flow_with_lower_bounds, \
+    post_transfer_deficits, validate
+from redeploy.game import check_subset_cap
+from redeploy.oracle import average_marginal_maximizers
 from tests.conftest import naive_enumerate
 
 
@@ -66,13 +68,23 @@ def test_subset_cap():
             "teachers": [{"id": "t", "origin": "s", "acceptable": ["d0"]}],
         }))
 
-    assert len(FlowGame(network(24)).universe) == 24
-    with pytest.raises(CapExceededError) as info:
-        FlowGame(network(25))
-    assert str(info.value) == (
-        "25 deficit schools exceed the subset cap 24: scanning coalitions "
-        "is exponential in the deficit-school count")
-    assert (info.value.limit, info.value.actual) == (24, 25)
+    check_subset_cap(24)
+    game = FlowGame(network(25))
+    # the split itself is polynomial and runs past the cap
+    assert decompose(game).blocks == (frozenset(game.universe)
+                                      - {"d0"}, frozenset({"d0"}))
+    vector = DeficitVector.from_mapping({d: 1 for d in game.universe},
+                                        game.universe)
+    for exhaustive in (lambda: blocking_coalition(vector, game),
+                       lambda: check_supermodular(game),
+                       lambda: average_marginal_maximizers(game,
+                                                           frozenset())):
+        with pytest.raises(CapExceededError) as info:
+            exhaustive()
+        assert str(info.value) == (
+            "25 deficit schools exceed the subset cap 24: scanning "
+            "coalitions is exponential in the deficit-school count")
+        assert (info.value.limit, info.value.actual) == (24, 25)
 
 
 def test_worth_runs_one_flow_per_distinct_mask(small_instance, monkeypatch):

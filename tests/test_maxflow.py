@@ -5,6 +5,7 @@ import pytest
 
 from redeploy import FlowGame, UnknownIdError, b_max_flow, \
     build_base_network, max_flow, max_flow_with_lower_bounds, random_instance
+from redeploy.maxflow import sink_side_sinks
 from redeploy.network import Edge, FlowNetwork, Node, SinkSpec
 
 
@@ -146,3 +147,25 @@ def test_augmented_value_matches_block_totals(rounding_instance):
     assert result is not None
     value, _ = result
     assert value == sum(s.capacity for s in augmented.sinks) == 5
+
+
+def test_sink_side_sinks_is_the_minimal_cut():
+    # one unit reaches a and b through x; c hangs off its own arc
+    net = FlowNetwork(
+        nodes=(Node("@src", "source"), Node("x", "school"),
+               Node("a", "sink"), Node("b", "sink"), Node("c", "sink")),
+        edges=(Edge("@src", "x", 0, 1), Edge("x", "a", 0, 1),
+               Edge("x", "b", 0, 1), Edge("@src", "c", 0, 2)),
+        source="@src",
+        sinks=(SinkSpec("a", 1), SinkSpec("b", 1), SinkSpec("c", 1)))
+    # x saturates, so a and b sit behind the cut; c stays reachable
+    assert sink_side_sinks(net, {"a": 1, "b": 1, "c": 1}, 1) \
+        == frozenset({"a", "b"})
+    # every arc scaled by 3: x carries 3 units and still saturates
+    assert sink_side_sinks(net, {"a": 2, "b": 2, "c": 5}, 3) \
+        == frozenset({"a", "b"})
+    # nothing flows: the minimal cut leaves only the super-sink behind it
+    assert sink_side_sinks(net, {"a": 0, "b": 0, "c": 0}, 1) == frozenset()
+    # both source arcs saturate, so every sink is cut off
+    assert sink_side_sinks(net, {"a": 1, "b": 0, "c": 2}, 1) \
+        == frozenset({"a", "b", "c"})

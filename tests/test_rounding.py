@@ -1,11 +1,12 @@
 import math
+import typing
 
 import pytest
 
-from redeploy import FlowGame, build_augmented_network, \
-    build_base_network, decompose, is_feasible, is_feasible_typed, \
-    post_transfer_deficits, post_transfer_deficits_typed, \
-    round_decomposition, solve, validate
+from redeploy import FlowGame, RoundedSolution, SolveResult, Transfer, \
+    build_augmented_network, build_base_network, decompose, is_feasible, \
+    is_feasible_typed, post_transfer_deficits, \
+    post_transfer_deficits_typed, round_decomposition, solve, validate
 from redeploy.network import SOURCE
 
 
@@ -256,3 +257,10 @@ def test_convex_loss_spot_check(small_instance):
             small_instance, transfer).sorted_multiset()
         for g in losses:
             assert sum(map(g, ours)) <= sum(map(g, other)) + 1e-9
+
+
+def test_result_annotations_resolve():
+    assert typing.get_type_hints(RoundedSolution)["transfer"] is Transfer
+    assert typing.get_type_hints(SolveResult)["rounded"] is RoundedSolution
+    assert typing.get_type_hints(SolveResult.transfer.fget)["return"] \
+        is Transfer
